@@ -11,7 +11,16 @@ Aliases are first-class (JOB reuses tables under several aliases, e.g.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+
+_COMPARE = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -19,20 +28,30 @@ class Filter:
     """A base-table predicate ``col op value``.
 
     ``op`` is one of ``=``, ``<``, ``<=``, ``>``, ``>=``, ``in``.
-    ``value`` is a python scalar (or tuple of scalars for ``in``).
+    ``value`` is a python scalar (or non-empty tuple of scalars for
+    ``in``). :meth:`mask` is the predicate's one evaluation, shared by
+    the pandas oracle and the Spark executor; :meth:`sql` renders the
+    same predicate for DuckDB.
     """
 
     col: str
     op: str
     value: object
 
-    _OPS = ("=", "<", "<=", ">", ">=", "in")
-
     def __post_init__(self) -> None:
-        if self.op not in self._OPS:
+        if self.op not in _COMPARE and self.op != "in":
             raise ValueError(f"unsupported op {self.op!r}")
         if self.op == "in" and not isinstance(self.value, tuple):
             raise ValueError("'in' filter value must be a tuple")
+        if self.op == "in" and not self.value:
+            # SQL has no empty IN-list, so DuckDB could not evaluate it.
+            raise ValueError("'in' filter needs at least one value")
+
+    def mask(self, col):
+        """``col op value`` on a pandas ``Series`` or a Spark ``Column``."""
+        if self.op == "in":
+            return col.isin(list(self.value))
+        return _COMPARE[self.op](col, self.value)
 
     def sql(self, alias: str) -> str:
         """Render as a SQL condition qualified with ``alias``."""

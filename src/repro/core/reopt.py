@@ -27,6 +27,7 @@ from .executor import SparkExecutor, true_cards
 from .plans import Join, PlanNode, join_nodes_bottom_up
 from .qerror import qerror, triggers
 from .query import JoinEdge, QuerySpec, Relation
+from .stats import Catalog
 from .truecard import TrueCardinalityOracle
 
 
@@ -55,6 +56,8 @@ class ReoptOutcome:
     original_spec: QuerySpec
     final_spec: QuerySpec
     steps: list[ReoptStep]
+    #: the estimator's catalog, which holds each temp's statistics.
+    catalog: Catalog
     planner_results: list[PlannerResult] = field(default_factory=list)
 
     @property
@@ -150,7 +153,6 @@ def reoptimize(
     threshold: float = 32.0,
     tag: str = "r",
     max_rounds: int | None = None,
-    **planner_kwargs,
 ) -> ReoptOutcome:
     """Run the full re-optimization loop (engine-agnostic).
 
@@ -158,9 +160,14 @@ def reoptimize(
     one oracle never collide. ``estimator`` may be the PostgreSQL
     estimator or perfect-(n) (paper Fig. 8 combines both).
     """
-    outcome = ReoptOutcome(original_spec=spec, final_spec=spec, steps=[])
+    outcome = ReoptOutcome(
+        original_spec=spec,
+        final_spec=spec,
+        steps=[],
+        catalog=estimator.catalog,
+    )
     cur = spec
-    pr = plan_query(cur, estimator, cost, **planner_kwargs)
+    pr = plan_query(cur, estimator, cost)
     outcome.planner_results.append(pr)
     max_rounds = max_rounds if max_rounds is not None else len(spec.relations)
     for rnd in range(max_rounds):
@@ -175,7 +182,7 @@ def reoptimize(
         rows = oracle.register_temp(temp_name, cur, node.aliases, cols)
         # Exact statistics for the materialized table — the mechanism by
         # which re-optimization corrects the estimator.
-        estimator.catalog.stats[temp_name] = oracle.temp_stats(temp_name)
+        outcome.catalog.stats[temp_name] = oracle.temp_stats(temp_name)
         outcome.steps.append(
             ReoptStep(
                 round=rnd,
@@ -189,7 +196,7 @@ def reoptimize(
             )
         )
         cur = new_spec
-        pr = plan_query(cur, estimator, cost, **planner_kwargs)
+        pr = plan_query(cur, estimator, cost)
         outcome.planner_results.append(pr)
     outcome.final_spec = cur
     return outcome
@@ -243,8 +250,13 @@ def cleanup(
     oracle: TrueCardinalityOracle,
     executor: SparkExecutor | None = None,
 ) -> None:
-    """Drop every temp table the outcome created (both engines)."""
+    """Drop every temp table the outcome created (both engines).
+
+    Also drops the temps' statistics from the catalog. Idempotent, so
+    one outcome can be replayed and cleaned up again.
+    """
     for step in outcome.steps:
         oracle.drop_temp(step.temp_name)
+        outcome.catalog.stats.pop(step.temp_name, None)
         if executor is not None:
             executor.drop_temp(step.temp_name)

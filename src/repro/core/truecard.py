@@ -38,26 +38,7 @@ import pandas as pd
 import duckdb
 
 from ..imdb.gen import Dataset
-from .query import Filter, JoinEdge, QuerySpec, Relation
-
-
-def _apply_filter(pdf: pd.DataFrame, f: Filter) -> pd.DataFrame:
-    col = pdf[f.col]
-    if f.op == "=":
-        mask = col == f.value
-    elif f.op == "in":
-        mask = col.isin(f.value)
-    elif f.op == "<":
-        mask = col < f.value
-    elif f.op == "<=":
-        mask = col <= f.value
-    elif f.op == ">":
-        mask = col > f.value
-    elif f.op == ">=":
-        mask = col >= f.value
-    else:  # pragma: no cover - Filter validates ops
-        raise ValueError(f.op)
-    return pdf[mask]
+from .query import JoinEdge, QuerySpec, Relation
 
 
 @dataclass(frozen=True)
@@ -145,14 +126,11 @@ class TrueCardinalityOracle:
             return self._resolve_col(self._temps[inner_table], c)
         return (a, c)
 
-    def _flatten(self, spec: QuerySpec, subset: frozenset[str] | None) -> _Flat:
-        subset = subset if subset is not None else spec.aliases
-        return self._expand(spec, subset)
-
     # -- counting ------------------------------------------------------
     def card(self, spec: QuerySpec, subset: frozenset[str] | None = None) -> int:
         """True row count of ``spec`` restricted to ``subset`` aliases."""
-        flat = self._flatten(spec, subset)
+        subset = subset if subset is not None else spec.aliases
+        flat = self._expand(spec, subset)
         sql = _flat_count_sql(flat)
         if sql not in self._memo:
             self.n_counts += 1
@@ -160,11 +138,7 @@ class TrueCardinalityOracle:
         return self._memo[sql]
 
     def _count(self, flat: _Flat) -> int:
-        pairs = {frozenset(j.aliases) for j in flat.joins}
-        acyclic = (
-            len(pairs) == len(flat.joins) == len(flat.relations) - 1
-        )
-        if not acyclic:
+        if not _is_tree(flat):
             return int(self._con.execute(_flat_count_sql(flat)).fetchone()[0])
         w = self._root_weights(flat, min(r.alias for r in flat.relations))
         return int(round(float(w.sum())))
@@ -175,7 +149,7 @@ class TrueCardinalityOracle:
         Enumerates the join (unlike :meth:`card`), so only call it on
         queries whose true result is materializable — tests do.
         """
-        flat = self._flatten(spec, None)
+        flat = self._expand(spec, spec.aliases)
         outs = ["COUNT(*) AS cnt"]
         for a, c in spec.min_cols:
             rel = spec.relation(a)
@@ -196,7 +170,7 @@ class TrueCardinalityOracle:
         if key not in self._leaf_cache:
             pdf = self._tables[rel.table]
             for f in rel.filters:
-                pdf = _apply_filter(pdf, f)
+                pdf = pdf[f.mask(pdf[f.col])]
             self._leaf_cache[key] = pdf
         return self._leaf_cache[key]
 
@@ -256,9 +230,8 @@ class TrueCardinalityOracle:
         The exact value distribution of one column of the (virtual)
         join result — linear time, never enumerates the join.
         """
-        flat = self._flatten(spec, subset)
-        pairs = {frozenset(j.aliases) for j in flat.joins}
-        if not (len(pairs) == len(flat.joins) == len(flat.relations) - 1):
+        flat = self._expand(spec, subset)
+        if not _is_tree(flat):
             sql = (
                 f"SELECT {alias}.{col} AS v, COUNT(*) AS c "
                 f"FROM {_flat_from(flat)} WHERE {_flat_where(flat)} "
@@ -320,20 +293,23 @@ class TrueCardinalityOracle:
         self._temps.pop(name, None)
 
     def release(self, spec_name: str) -> None:
-        """Free caches tied to one query's relations (keep count memo)."""
-        # Leaf/message cache keys are content-addressed (table, alias,
-        # filters), so they are naturally shared; dropping everything
-        # for a spec is only a memory valve.
+        """Clear all leaf and message caches; keep the count memo.
+
+        ``spec_name`` is unused: cache keys are content-addressed
+        (table, alias, filters) and shared across queries, so this is
+        a memory valve only.
+        """
         self._leaf_cache.clear()
         self._msg_cache.clear()
 
     def close(self) -> None:
         self._con.close()
 
-    # Telemetry alias.
-    @property
-    def n_queries(self) -> int:
-        return self.n_counts
+
+def _is_tree(flat: _Flat) -> bool:
+    """True iff the (connected) flat's join graph is a tree."""
+    pairs = {frozenset(j.aliases) for j in flat.joins}
+    return len(pairs) == len(flat.joins) == len(flat.relations) - 1
 
 
 def _py(v):

@@ -4,6 +4,7 @@ import pytest
 from repro.bench.harness import PG, PERFECT, REOPT32, Config, Harness, total_times
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.executor import SparkExecutor
+from repro.core.stats import analyze_pandas
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,15 @@ def test_perfect_not_slower_than_pg_on_slice_total(results):
 def test_reopt_replans_only_on_misestimated(results):
     assert any(r.n_replans > 0 for r in results["reopt-32"].values())
     assert all(r.n_replans == 0 for r in results["pg"].values())
+
+
+def test_run_workload_leaves_catalog_unchanged(ds, slice_specs):
+    catalog = analyze_pandas(ds)
+    n_tables = len(catalog.stats)
+    h = Harness(ds, catalog)
+    runs = h.run_workload(slice_specs, [REOPT32])["reopt-32"]
+    assert any(r.n_replans > 0 for r in runs.values())
+    assert len(catalog.stats) == n_tables
 
 
 def test_estimator_cache(harness):

@@ -50,6 +50,12 @@ def test_filter_in_requires_tuple():
         Filter("c", "in", [1, 2])
 
 
+def test_filter_in_rejects_empty_tuple():
+    # SQL has no empty IN-list; the DuckDB rendering would not parse.
+    with pytest.raises(ValueError):
+        Filter("c", "in", ())
+
+
 def test_filter_sql_int():
     assert Filter("c", "=", 5).sql("t") == "t.c = 5"
 

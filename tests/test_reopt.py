@@ -149,10 +149,14 @@ def test_reoptimize_result_equals_original(own_pg, own_oracle, q6d):
 
 def test_reoptimize_registers_temp_stats(own_pg, own_oracle, q6d):
     out = reoptimize(q6d, own_pg, CostModel(), own_oracle, threshold=32, tag="t4")
+    assert out.steps
     for step in out.steps:
         ts = own_pg.catalog.stats[step.temp_name]
         assert ts.n_rows == step.rows
     cleanup(out, own_oracle)
+    cleanup(out, own_oracle)  # idempotent: Spark replays clean up again
+    for step in out.steps:
+        assert step.temp_name not in own_pg.catalog.stats
 
 
 def test_step_qerror_above_threshold(own_pg, own_oracle, q6d):
