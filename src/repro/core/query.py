@@ -234,6 +234,7 @@ def connected_subsets(
     Selinger-style DP considers — one cardinality estimate each.
     """
     max_size = max_size or len(spec.relations)
+    nbrs = {r.alias: spec.neighbors(r.alias) for r in spec.relations}
     by_size: list[set[frozenset[str]]] = [set() for _ in range(max_size + 1)]
     for r in spec.relations:
         by_size[1].add(frozenset({r.alias}))
@@ -241,7 +242,7 @@ def connected_subsets(
         for s in by_size[k]:
             frontier: set[str] = set()
             for a in s:
-                frontier |= spec.neighbors(a)
+                frontier |= nbrs[a]
             for n in frontier - s:
                 by_size[k + 1].add(s | {n})
     out: list[frozenset[str]] = []

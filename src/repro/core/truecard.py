@@ -11,9 +11,13 @@ has combinatorially many rows, which is precisely why bad plans are
 slow. The oracle must not pay that price, so for **acyclic** join
 subgraphs (every JOB-lite query is a tree) it counts via
 Yannakakis-style message passing: each subtree sends its parent a
-``join_key → #rows`` weight vector, and the count is a sum of products
-— linear in input size, never in output size. Cyclic subsets (possible
-with hand-built specs) fall back to DuckDB SQL.
+dense ``join_key → #rows`` vector, ``np.bincount(child_keys, w)``
+(every join key is a non-negative integer id), and the parent applies
+it with a gather, ``w *= msg[parent_keys]`` (keys past the end of the
+message read 0). The count is a sum of products — linear in input
+size, never in output size. Cyclic subsets (possible with hand-built
+specs) fall back to DuckDB SQL. Weights are float64 sums of integers,
+exact below 2**53; a count that reaches it raises instead of rounding.
 
 Re-optimization temp tables are **virtual** here: ``register_temp``
 records which sub-join a temp stands for, counting on a rewritten
@@ -24,9 +28,11 @@ never materializes an intermediate, no matter how large. The *Spark*
 replay of a re-optimized query does materialize, which is the honest
 execution cost.
 
-The oracle memoizes per normalized subset SQL; one harness run shares a
-single oracle across PG / perfect-(n) / re-optimization configs, so
-each distinct sub-join is counted once.
+The oracle memoizes counts per sub-join *content* (relations with their
+filters, normalized join edges), so a count does not depend on the
+order a spec lists its joins in; one harness run shares a single
+oracle across PG / perfect-(n) / re-optimization configs, so each
+distinct sub-join is counted once.
 """
 from __future__ import annotations
 
@@ -67,29 +73,33 @@ class TrueCardinalityOracle:
         self._con = duckdb.connect()
         for name, pdf in ds.tables.items():
             self._con.register(name, pdf)
-        self._memo: dict[str, int] = {}
+        #: sub-join content (see :func:`_flat_key`) → row count.
+        self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
-        #: filtered per-(spec, alias) frames.
-        self._leaf_cache: dict[tuple[str, str], pd.DataFrame] = {}
-        #: subtree messages: (spec, subtree, root, parent_col) → Series.
-        self._msg_cache: dict[tuple, pd.Series] = {}
+        #: filtered frames: (table, filters) → DataFrame.
+        self._leaf_cache: dict[tuple, pd.DataFrame] = {}
+        #: filtered key columns: (table, filters, col) → int64 array.
+        self._keys_cache: dict[tuple, np.ndarray] = {}
+        #: subtree messages: (subtree content, alias, col) → key → #rows.
+        self._msg_cache: dict[tuple, np.ndarray] = {}
         self.n_counts = 0  # cache misses (actual counting work)
 
     # -- expansion of virtual temps ------------------------------------
     def _expand(self, spec: QuerySpec, subset: frozenset[str]) -> _Flat:
         """Resolve temp relations in ``subset`` down to base tables."""
-        relations: list[Relation] = []
-        joins = [
+        rels = {r.alias: r for r in spec.relations}
+        temp = {a: r.table in self._temps for a, r in rels.items()}
+        inside = [
             j
             for j in spec.joins
-            if j.aliases <= subset
-            and spec.relation(j.left_alias).table not in self._temps
-            and spec.relation(j.right_alias).table not in self._temps
+            if j.left_alias in subset and j.right_alias in subset
         ]
+        relations: list[Relation] = []
+        joins = [j for j in inside if not (temp[j.left_alias] or temp[j.right_alias])]
         remap: dict[str, dict[str, tuple[str, str]]] = {}
         for a in subset:
-            rel = spec.relation(a)
-            if rel.table not in self._temps:
+            rel = rels[a]
+            if not temp[a]:
                 relations.append(rel)
                 continue
             td = self._temps[rel.table]
@@ -101,11 +111,8 @@ class TrueCardinalityOracle:
             remap[a] = {
                 c: self._resolve_col(td, c) for c in td.cols
             }
-        for j in spec.joins:
-            if not (j.aliases <= subset):
-                continue
-            lt = spec.relation(j.left_alias).table in self._temps
-            rt = spec.relation(j.right_alias).table in self._temps
+        for j in inside:
+            lt, rt = temp[j.left_alias], temp[j.right_alias]
             if not (lt or rt):
                 continue
             la, lc = (
@@ -131,17 +138,18 @@ class TrueCardinalityOracle:
         """True row count of ``spec`` restricted to ``subset`` aliases."""
         subset = subset if subset is not None else spec.aliases
         flat = self._expand(spec, subset)
-        sql = _flat_count_sql(flat)
-        if sql not in self._memo:
+        key = _flat_key(flat)
+        if key not in self._memo:
             self.n_counts += 1
-            self._memo[sql] = self._count(flat)
-        return self._memo[sql]
+            self._memo[key] = self._count(flat)
+        return self._memo[key]
 
     def _count(self, flat: _Flat) -> int:
         if not _is_tree(flat):
-            return int(self._con.execute(_flat_count_sql(flat)).fetchone()[0])
+            sql = f"SELECT COUNT(*) FROM {_flat_from(flat)} WHERE {_flat_where(flat)}"
+            return int(self._con.execute(sql).fetchone()[0])
         w = self._root_weights(flat, min(r.alias for r in flat.relations))
-        return int(round(float(w.sum())))
+        return int(_exact(w.sum()))
 
     def result(self, spec: QuerySpec) -> pd.DataFrame:
         """Full query result (COUNT + MINs) via DuckDB, temps expanded.
@@ -166,7 +174,7 @@ class TrueCardinalityOracle:
 
     # -- Yannakakis counting over tree-shaped flats --------------------
     def _leaf(self, rel: Relation) -> pd.DataFrame:
-        key = (rel.table, rel.alias, rel.filters)
+        key = (rel.table, rel.filters)
         if key not in self._leaf_cache:
             pdf = self._tables[rel.table]
             for f in rel.filters:
@@ -174,53 +182,61 @@ class TrueCardinalityOracle:
             self._leaf_cache[key] = pdf
         return self._leaf_cache[key]
 
+    def _keys(self, rel: Relation, col: str) -> np.ndarray:
+        """``rel``'s filtered ``col`` as an index array for bincount."""
+        key = (rel.table, rel.filters, col)
+        if key not in self._keys_cache:
+            arr = self._leaf(rel)[col].to_numpy()
+            if arr.dtype.kind not in "iu" or (arr.size and arr.min() < 0):
+                raise ValueError(
+                    f"{rel.table}.{col}: oracle keys must be non-negative ints"
+                )
+            self._keys_cache[key] = arr.astype(np.int64, copy=False)
+        return self._keys_cache[key]
+
     def _root_weights(self, flat: _Flat, root: str) -> np.ndarray:
         """Per-row join multiplicities of ``root``'s filtered rows."""
         rels = {r.alias: r for r in flat.relations}
         adj: dict[str, list[tuple[str, JoinEdge]]] = {a: [] for a in rels}
         for j in flat.joins:
-            la, ra = tuple(j.aliases)
-            adj[la].append((ra, j))
-            adj[ra].append((la, j))
+            adj[j.left_alias].append((j.right_alias, j))
+            adj[j.right_alias].append((j.left_alias, j))
+        # Root the tree; then key each subtree by its content, leaves
+        # first, so a message is keyed by what it depends on and no more.
+        children: dict[str, list[tuple[str, JoinEdge]]] = {}
+        order, seen = [root], {root}
+        for a in order:
+            children[a] = [(b, e) for b, e in adj[a] if b not in seen]
+            for b, _ in children[a]:
+                seen.add(b)
+                order.append(b)
+        below: dict[str, frozenset] = {}
+        for a in reversed(order):
+            part = {(rels[a].table, a, rels[a].filters)}
+            for b, edge in children[a]:
+                part |= below[b]
+                part.add(_edge_key(edge))
+            below[a] = frozenset(part)
 
-        def subtree(alias: str, parent: str | None) -> frozenset[str]:
-            out = {alias}
-            for child, _ in adj[alias]:
-                if child != parent:
-                    out |= subtree(child, alias)
-            return frozenset(out)
-
-        def weights(alias: str, parent: str | None) -> np.ndarray:
-            pdf = self._leaf(rels[alias])
-            w = np.ones(len(pdf))
-            for child, edge in adj[alias]:
-                if child == parent:
-                    continue
-                msg = message(child, alias, edge)
-                col = pdf[edge.side(alias)[0]]
-                w = w * col.map(msg).fillna(0.0).to_numpy()
+        def weights(alias: str) -> np.ndarray:
+            rel = rels[alias]
+            w = np.ones(len(self._leaf(rel)))
+            for child, edge in children[alias]:
+                msg = message(child, edge.side(child)[0])
+                w *= _gather(msg, self._keys(rel, edge.side(alias)[0]))
             return w
 
-        def message(alias: str, parent: str, edge: JoinEdge) -> pd.Series:
-            child_col = edge.side(alias)[0]
-            rel = rels[alias]
-            key = (
-                tuple(sorted((rels[a].table, rels[a].alias, rels[a].filters)
-                             for a in subtree(alias, parent))),
-                rel.alias,
-                child_col,
-            )
+        def message(alias: str, col: str) -> np.ndarray:
+            key = (below[alias], alias, col)
             if key not in self._msg_cache:
-                pdf = self._leaf(rel)
-                w = weights(alias, parent)
-                self._msg_cache[key] = (
-                    pd.Series(w, index=pdf[child_col].to_numpy())
-                    .groupby(level=0)
-                    .sum()
+                counts = np.bincount(
+                    self._keys(rels[alias], col), weights=weights(alias)
                 )
+                # A trailing 0 for keys past the end to read (_gather).
+                self._msg_cache[key] = np.append(counts, 0.0)
             return self._msg_cache[key]
 
-        return weights(root, None)
+        return weights(root)
 
     def group_counts(
         self, spec: QuerySpec, subset: frozenset[str], alias: str, col: str
@@ -240,10 +256,11 @@ class TrueCardinalityOracle:
             pdf = self._con.execute(sql).fetchdf()
             return pd.Series(pdf["c"].to_numpy(), index=pdf["v"].to_numpy())
         w = self._root_weights(flat, alias)
+        _exact(w.sum())
         rel = next(r for r in flat.relations if r.alias == alias)
-        vals = self._leaf(rel)[col].to_numpy()
-        s = pd.Series(w, index=vals).groupby(level=0).sum()
-        return s[s > 0]
+        counts = np.bincount(self._keys(rel, col), weights=w)
+        vals = np.flatnonzero(counts)
+        return pd.Series(counts[vals], index=vals)
 
     # -- virtual temp tables (re-optimization support) -----------------
     def register_temp(
@@ -293,13 +310,14 @@ class TrueCardinalityOracle:
         self._temps.pop(name, None)
 
     def release(self, spec_name: str) -> None:
-        """Clear all leaf and message caches; keep the count memo.
+        """Clear the leaf, key-array and message caches; keep the count memo.
 
         ``spec_name`` is unused: cache keys are content-addressed
-        (table, alias, filters) and shared across queries, so this is
-        a memory valve only.
+        (tables, filters, join edges) and shared across queries, so
+        this is a memory valve only.
         """
         self._leaf_cache.clear()
+        self._keys_cache.clear()
         self._msg_cache.clear()
 
     def close(self) -> None:
@@ -310,6 +328,39 @@ def _is_tree(flat: _Flat) -> bool:
     """True iff the (connected) flat's join graph is a tree."""
     pairs = {frozenset(j.aliases) for j in flat.joins}
     return len(pairs) == len(flat.joins) == len(flat.relations) - 1
+
+
+#: float64 represents every integer below this exactly.
+EXACT_LIMIT = 2**53
+
+
+def _exact(total: float) -> float:
+    """``total``, or raise if float64 counting may have rounded it."""
+    if total >= EXACT_LIMIT:
+        raise OverflowError(
+            f"count {total:.6g} reaches 2**53; float64 counts are inexact"
+        )
+    return total
+
+
+def _gather(msg: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``msg[keys]``; keys past the end clip to ``msg``'s trailing 0."""
+    return msg.take(keys, mode="clip")
+
+
+def _edge_key(j: JoinEdge) -> tuple:
+    """A join edge with its endpoints in a canonical order."""
+    left, right = (j.left_alias, j.left_col), (j.right_alias, j.right_col)
+    return (left, right) if left <= right else (right, left)
+
+
+def _flat_key(flat: _Flat) -> tuple:
+    """What a flat counts, independent of the order it lists things in."""
+    rels = sorted(flat.relations, key=lambda r: r.alias)
+    return (
+        tuple((r.table, r.alias, r.filters) for r in rels),
+        tuple(sorted(_edge_key(j) for j in flat.joins)),
+    )
 
 
 def _py(v):
@@ -324,10 +375,3 @@ def _flat_where(flat: _Flat) -> str:
     conds = [f.sql(r.alias) for r in flat.relations for f in r.filters]
     conds += [j.sql() for j in flat.joins]
     return " AND ".join(conds) if conds else "TRUE"
-
-
-def _flat_count_sql(flat: _Flat) -> str:
-    rels = ", ".join(
-        f"{r.table} AS {r.alias}" for r in sorted(flat.relations, key=lambda r: r.alias)
-    )
-    return f"SELECT COUNT(*) AS cnt FROM {rels} WHERE {_flat_where(flat)}"

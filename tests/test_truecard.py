@@ -4,13 +4,15 @@ The Yannakakis tree count is the load-bearing piece of the whole
 reproduction (perfect-(n) and re-optimization both depend on it), so
 it is cross-checked against plain DuckDB SQL on many real sub-joins.
 """
+from dataclasses import replace
+
 import duckdb
 import pandas as pd
 import pytest
 
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import rewrite_with_temp
-from repro.core.truecard import TrueCardinalityOracle
+from repro.core.truecard import EXACT_LIMIT, TrueCardinalityOracle, _exact
 from repro.imdb import workload
 
 
@@ -56,6 +58,64 @@ def test_count_memoized(ds, q6d):
     n = orc.n_counts
     orc.card(q6d)
     assert orc.n_counts == n
+
+
+def test_count_memo_keyed_on_content_not_join_order(ds, q6d):
+    orc = TrueCardinalityOracle(ds)
+    orc.card(q6d)
+    orc.card(replace(q6d, joins=q6d.joins[::-1]))
+    assert orc.n_counts == 1
+
+
+def test_exactness_guard():
+    assert _exact(float(EXACT_LIMIT - 1)) == EXACT_LIMIT - 1
+    with pytest.raises(OverflowError):
+        _exact(float(EXACT_LIMIT))
+
+
+# -- dense messages: edge cases ----------------------------------------
+
+def test_child_message_shorter_than_parent_key_range(ds, oracle):
+    # Root "t" (the min alias) gathers a movie_keyword message that
+    # ends at movie_id 99, while title ids run to the end of the table.
+    spec = QuerySpec(
+        name="short_msg",
+        relations=(
+            Relation("t", "title"),
+            Relation("u", "movie_keyword", (Filter("movie_id", "<", 100),)),
+        ),
+        joins=(JoinEdge("u", "movie_id", "t", "id"),),
+    )
+    assert ds.tables["title"]["id"].max() >= 100
+    got = oracle.card(spec)
+    assert got > 0
+    assert got == duck_count(ds, spec.count_sql())
+    gc = oracle.group_counts(spec, spec.aliases, "t", "id")
+    assert gc.index.max() < 100 and int(gc.sum()) == got
+
+
+def test_empty_leaf_in_middle_of_chain(ds, oracle):
+    spec = QuerySpec(
+        name="empty_mid",
+        relations=(
+            Relation("k", "keyword"),
+            Relation("mk", "movie_keyword", (Filter("movie_id", "<", 0),)),
+            Relation("t", "title"),
+        ),
+        joins=(
+            JoinEdge("mk", "keyword_id", "k", "id"),
+            JoinEdge("mk", "movie_id", "t", "id"),
+        ),
+    )
+    assert duck_count(ds, spec.count_sql()) == 0
+    assert oracle.card(spec) == 0
+    assert oracle.group_counts(spec, spec.aliases, "t", "id").empty
+
+
+def test_non_integer_key_column_rejected(oracle, q6d):
+    # bincount needs non-negative int keys; a string column is refused.
+    with pytest.raises(ValueError, match="non-negative ints"):
+        oracle.group_counts(q6d, frozenset({"n"}), "n", "gender")
 
 
 def test_empty_filter_subset_counts_zero(ds, oracle):
@@ -187,10 +247,34 @@ def test_drop_temp_forgets(own_oracle, q6d):
     assert "td0" not in own_oracle._temps
 
 
+def test_group_counts_on_nested_temp(ds, own_oracle, q6d):
+    sub1 = frozenset({"k", "mk"})
+    spec1, cols1 = rewrite_with_temp(q6d, sub1, "g0", "q6d@1")
+    own_oracle.register_temp("g0", q6d, sub1, cols1)
+    sub2 = frozenset({"g0", "t"})
+    spec2, cols2 = rewrite_with_temp(spec1, sub2, "g1", "q6d@2")
+    own_oracle.register_temp("g1", spec1, sub2, cols2)
+    base = frozenset({"k", "mk", "t"})
+    con = duckdb.connect()
+    for name, pdf in ds.tables.items():
+        con.register(name, pdf)
+    rows = con.execute(
+        f"SELECT t.id, COUNT(*) FROM {q6d.from_sql(base)} "
+        f"WHERE {q6d.where_sql(base)} GROUP BY 1"
+    ).fetchall()
+    con.close()
+    # g1 holds t.id as a column; group it through both temp levels.
+    gc = own_oracle.group_counts(spec2, frozenset({"g1"}), "t", "id")
+    assert dict(gc.astype(int)) == dict(rows)
+    assert int(gc.sum()) == own_oracle.card(spec2, frozenset({"g1"}))
+
+
 def test_release_clears_caches(own_oracle, q6d):
     own_oracle.card(q6d)
+    assert own_oracle._keys_cache and own_oracle._msg_cache
     own_oracle.release(q6d.name)
     assert not own_oracle._leaf_cache and not own_oracle._msg_cache
+    assert not own_oracle._keys_cache
 
 
 def test_result_matches_duckdb_reference(ds, oracle, q6d):
