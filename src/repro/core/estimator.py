@@ -15,8 +15,10 @@ technique, seeded by the (perfect) estimate of a size-(k-1) sub-subset
 — so perfect-(n+1) strictly refines perfect-(n), and perfect-(0) is
 exactly the PostgreSQL estimator.
 
-Both memoize per ``(spec.name, subset)``; one estimate per "joinrel",
-as in PostgreSQL — which is what the paper's Table I counts.
+Both memoize one estimate per connected subset ("joinrel"), as in
+PostgreSQL — which is what the paper's Table I counts. The memo holds a
+table per query name that is only reused for the spec it was filled
+from, so two different specs sharing a name never share estimates.
 """
 from __future__ import annotations
 
@@ -29,27 +31,47 @@ from .stats import (
 )
 from .truecard import TrueCardinalityOracle
 
+#: query name → (the spec a table was filled from, subset → estimate).
+Memo = dict[str, tuple[QuerySpec, dict[frozenset[str], float]]]
+
+
+def _table(memo: Memo, spec: QuerySpec) -> dict[frozenset[str], float]:
+    """``spec``'s estimates; a new table if its name last meant another spec.
+
+    Identity is checked first because hashing or comparing a spec on
+    every lookup would cost more than most estimates.
+    """
+    entry = memo.get(spec.name)
+    if entry is not None and entry[0] is spec:
+        return entry[1]
+    table = entry[1] if entry is not None and entry[0] == spec else {}
+    memo[spec.name] = (spec, table)
+    return table
+
 
 class PostgresEstimator:
     """Uniformity + independence estimator over ANALYZE statistics."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self._memo: dict[tuple[str, frozenset[str]], float] = {}
+        self._memo: Memo = {}
 
     # -- public API ----------------------------------------------------
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         """Estimated cardinality of the connected subset ``subset``."""
-        key = (spec.name, subset)
-        if key not in self._memo:
-            self._memo[key] = self._estimate(spec, subset)
-        return self._memo[key]
+        table = _table(self._memo, spec)
+        if subset not in table:
+            table[subset] = self._estimate(spec, subset)
+        return table[subset]
 
     # -- internals -----------------------------------------------------
     def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
+        # Multiply in the query's relation order: set order would tie
+        # the last bits of the product to the string hash seed.
         card = 1.0
-        for a in subset:
-            card *= self.base_card(spec.relation(a))
+        for r in spec.relations:
+            if r.alias in subset:
+                card *= self.base_card(r)
         for j in spec.joins:
             if j.aliases <= subset:
                 card *= self.join_selectivity(
@@ -98,17 +120,17 @@ class PerfectEstimator:
         self.n = n
         self.oracle = oracle
         self.pg = PostgresEstimator(catalog)
-        self._memo: dict[tuple[str, frozenset[str]], float] = {}
+        self._memo: Memo = {}
 
     @property
     def catalog(self) -> Catalog:
         return self.pg.catalog
 
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
-        key = (spec.name, subset)
-        if key not in self._memo:
-            self._memo[key] = self._estimate(spec, subset)
-        return self._memo[key]
+        table = _table(self._memo, spec)
+        if subset not in table:
+            table[subset] = self._estimate(spec, subset)
+        return table[subset]
 
     def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         if len(subset) <= self.n:

@@ -84,7 +84,74 @@ def test_estimates_memoized(catalog, q6d):
     est = PostgresEstimator(catalog)
     a = est.card(q6d, q6d.aliases)
     assert est.card(q6d, q6d.aliases) == a
-    assert (q6d.name, q6d.aliases) in est._memo
+    assert q6d.aliases in est._memo[q6d.name][1]
+
+
+def _refiltered(spec):
+    """``spec`` under the same name with one more filter on ``t``."""
+    from dataclasses import replace
+
+    rels = tuple(
+        r.with_filters(Filter("production_year", ">", 2000))
+        if r.alias == "t" else r
+        for r in spec.relations
+    )
+    return replace(spec, relations=rels)
+
+
+@pytest.mark.parametrize("kind", ["pg", "perfect"])
+def test_memo_not_shared_by_same_name_specs(catalog, oracle, q6d, kind):
+    def make():
+        if kind == "pg":
+            return PostgresEstimator(catalog)
+        return PerfectEstimator(17, oracle, catalog)
+
+    other = _refiltered(q6d)
+    assert other.name == q6d.name and other != q6d
+    est = make()
+    a = est.card(q6d, q6d.aliases)
+    b = est.card(other, other.aliases)
+    assert b == make().card(other, other.aliases)
+    assert b != a
+    # An equal spec rebuilt under the same name keeps the table.
+    again = _refiltered(q6d)
+    assert again is not other
+    assert est.card(again, again.aliases) == b
+    assert est._memo[q6d.name][0] is again
+
+
+_ESTIMATES_SCRIPT = """
+from repro.core.estimator import PostgresEstimator
+from repro.core.query import connected_subsets
+from repro.core.stats import analyze_pandas
+from repro.imdb import gen, workload
+
+spec = next(s for s in workload.job_lite_workload() if s.name == "q016")
+est = PostgresEstimator(analyze_pandas(gen.generate(sf=0.01, seed=42)))
+for s in connected_subsets(spec):
+    print(",".join(sorted(s)), est.card(spec, s).hex())
+"""
+
+
+def test_pg_estimates_independent_of_hash_seed():
+    """Same bits under two string hash seeds: no set order may leak in."""
+    import os
+    import subprocess
+    import sys
+
+    from repro.core import estimator
+
+    src = os.path.dirname(os.path.dirname(os.path.dirname(estimator.__file__)))
+    out = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _ESTIMATES_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        out.append(run.stdout)
+    assert len(out[0].splitlines()) > 10
+    assert out[0] == out[1]
 
 
 def test_join_estimate_at_least_one(pg_est, q6d):
